@@ -12,6 +12,7 @@
 //! since Rust 1.72 `Sender` is `Sync`, so one channel per directed rank
 //! pair can be shared from a single `Arc`.
 
+use fun3d_solver::GlobalSum;
 use fun3d_util::telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -242,6 +243,14 @@ impl Comm {
     /// participant).
     pub fn stat_collectives(&self) -> u64 {
         self.shared.collectives.load(Ordering::Relaxed)
+    }
+}
+
+/// Distributed inner products in the solver: a sum-allreduce.
+impl GlobalSum for Comm {
+    fn global_sum(&self, partial: &mut [f64]) {
+        let sum = self.allreduce_sum(partial);
+        partial.copy_from_slice(&sum);
     }
 }
 

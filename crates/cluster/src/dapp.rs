@@ -1,17 +1,21 @@
 //! The distributed nonlinear application: rank-parallel PETSc-FUN3D.
 //!
 //! Each rank owns a subdomain of the mesh and runs the full ΨNKS stack
-//! through real message passing:
+//! through real message passing, on the same kernels as the serial
+//! application:
 //!
-//! * residual: halo-exchange state → local Green-Gauss gradients
-//!   (owner-only writes) → halo-exchange gradients → masked Roe flux loop
-//!   → local boundary fluxes;
-//! * Jacobian: first-order assembly of the *owned rows* (columns span
-//!   owned + ghost), pseudo-time shift, per-rank ILU of the owned-owned
-//!   block (zero-overlap additive Schwarz);
-//! * linear solve: matrix-free distributed GMRES — the operator action
-//!   finite-differences the distributed residual; inner products
-//!   allreduce;
+//! * residual: halo-exchange state → `fun3d_core`'s Green-Gauss gradient
+//!   → halo-exchange gradients → its second-order Roe flux and boundary
+//!   fluxes, all over the owned + ghost vertices of the subdomain. Every
+//!   edge touching an owned vertex is local, so the owned entries are
+//!   exact; the ghost entries are partial and are overwritten (gradients,
+//!   by the exchange) or ignored (residual);
+//! * Jacobian: `fun3d_core`'s first-order assembly over the local edges
+//!   (the owned rows are complete), pseudo-time shift, per-rank ILU of
+//!   the owned-owned block (zero-overlap additive Schwarz);
+//! * linear solve: `fun3d_solver`'s [`Gmres`] on a matrix-free
+//!   [`FdJacobian`] of the distributed residual, with [`Comm`] as the
+//!   hook that allreduces every inner product;
 //! * pseudo-transient continuation with SER time-step growth, with the
 //!   residual norm agreed by allreduce so every rank steps identically.
 //!
@@ -21,12 +25,17 @@
 
 use crate::comm::Comm;
 use crate::decompose::{Decomposition, Subdomain};
-use crate::dsolve::{dnorm2, halo_exchange, halo_exchange_stride, local_ilu};
-use fun3d_core::bc::BcData;
-use fun3d_core::euler::{self, FlowConditions};
-use fun3d_core::geom::EdgeGeom;
+use crate::dsolve::{halo_exchange, halo_exchange_stride, local_ilu};
+use fun3d_core::bc::{self, BcData};
+use fun3d_core::euler::FlowConditions;
+use fun3d_core::geom::{EdgeGeom, NodeAos};
+use fun3d_core::{flux, gradient, jacobian};
 use fun3d_mesh::{DualMesh, Mesh};
-use fun3d_sparse::{trsv, Bcsr4, IluFactors};
+use fun3d_solver::precond::SerialIlu;
+use fun3d_solver::vecops::{self, global_norm2};
+use fun3d_solver::{FdJacobian, Gmres, GmresConfig};
+use fun3d_sparse::Bcsr4;
+use std::cell::RefCell;
 
 /// Immutable global inputs shared (read-only) by all ranks.
 pub struct GlobalSetup {
@@ -68,97 +77,70 @@ pub struct RankApp<'a> {
     pub setup: &'a GlobalSetup,
     /// This rank's subdomain.
     pub sub: Subdomain,
-    /// Local edge geometry (subdomain edges, local vertex ids).
-    nx: Vec<f64>,
-    ny: Vec<f64>,
-    nz: Vec<f64>,
-    rx: Vec<f64>,
-    ry: Vec<f64>,
-    rz: Vec<f64>,
-    /// Boundary entries for owned vertices: (local vertex, normal, tag).
-    bc_local: Vec<(u32, [f64; 3], fun3d_mesh::BcTag)>,
-    /// Dual volumes of owned vertices.
+    /// Geometry of the subdomain's edges, in local vertex ids.
+    geom: EdgeGeom,
+    /// Boundary entries of the owned vertices, in local vertex ids.
+    bc: BcData,
+    /// Dual volumes of the local (owned + ghost) vertices.
     vol: Vec<f64>,
-    /// Jacobian rows for owned vertices (local columns).
+    /// First-order Jacobian on the local edge pattern; only the owned
+    /// rows are complete and used.
     jac: Bcsr4,
-    factors: Option<IluFactors>,
+    precond: Option<SerialIlu>,
 }
 
 impl<'a> RankApp<'a> {
     /// Builds rank `rank`'s local problem.
     pub fn new(setup: &'a GlobalSetup, rank: usize) -> RankApp<'a> {
         let sub = setup.decomp.subdomains[rank].clone();
-        let ne = sub.edges.len();
-        let mut nx = Vec::with_capacity(ne);
-        let mut ny = Vec::with_capacity(ne);
-        let mut nz = Vec::with_capacity(ne);
-        let mut rx = Vec::with_capacity(ne);
-        let mut ry = Vec::with_capacity(ne);
-        let mut rz = Vec::with_capacity(ne);
-        for &gid in &sub.edge_gids {
-            let g = gid as usize;
-            nx.push(setup.geom.nx[g]);
-            ny.push(setup.geom.ny[g]);
-            nz.push(setup.geom.nz[g]);
-            rx.push(setup.geom.rx[g]);
-            ry.push(setup.geom.ry[g]);
-            rz.push(setup.geom.rz[g]);
-        }
-        // global->local vertex map for owned vertices
-        let mut g2l = std::collections::HashMap::with_capacity(sub.nlocal());
-        for (l, &g) in sub.owned.iter().enumerate() {
-            g2l.insert(g, l as u32);
-        }
-        for (l, &g) in sub.ghosts.iter().enumerate() {
-            g2l.insert(g, (sub.nowned() + l) as u32);
-        }
-        let mut bc_local = Vec::new();
+        let pick = |field: &[f64]| sub.edge_gids.iter().map(|&e| field[e as usize]).collect();
+        let g = &setup.geom;
+        let geom = EdgeGeom {
+            edges: sub.edges.clone(),
+            nx: pick(&g.nx),
+            ny: pick(&g.ny),
+            nz: pick(&g.nz),
+            rx: pick(&g.rx),
+            ry: pick(&g.ry),
+            rz: pick(&g.rz),
+        };
+        let g2l: std::collections::HashMap<u32, u32> = sub
+            .owned
+            .iter()
+            .enumerate()
+            .map(|(l, &g)| (g, l as u32))
+            .collect();
+        let mut bc = BcData {
+            vertex: Vec::new(),
+            nx: Vec::new(),
+            ny: Vec::new(),
+            nz: Vec::new(),
+            tag: Vec::new(),
+        };
         for i in 0..setup.bc.len() {
             if let Some(&l) = g2l.get(&setup.bc.vertex[i]) {
-                if (l as usize) < sub.nowned() {
-                    bc_local.push((
-                        l,
-                        [setup.bc.nx[i], setup.bc.ny[i], setup.bc.nz[i]],
-                        setup.bc.tag[i],
-                    ));
-                }
+                bc.vertex.push(l);
+                bc.nx.push(setup.bc.nx[i]);
+                bc.ny.push(setup.bc.ny[i]);
+                bc.nz.push(setup.bc.nz[i]);
+                bc.tag.push(setup.bc.tag[i]);
             }
         }
-        let vol: Vec<f64> = sub.owned.iter().map(|&g| setup.dual.vol[g as usize]).collect();
-        // Jacobian pattern: owned rows over their local-edge neighbors.
-        let nowned = sub.nowned();
-        let mut cols: Vec<Vec<u32>> = (0..nowned).map(|v| vec![v as u32]).collect();
-        for (le, &mask) in sub.edges.iter().zip(&sub.write_masks) {
-            let (a, b) = (le[0], le[1]);
-            if mask & 1 != 0 {
-                cols[a as usize].push(b);
-            }
-            if mask & 2 != 0 {
-                cols[b as usize].push(a);
-            }
-        }
-        for c in cols.iter_mut() {
-            c.sort_unstable();
-            c.dedup();
-        }
-        // extend to nlocal rows (ghost rows empty) so columns are valid
-        let mut full_cols = cols;
-        full_cols.resize(sub.nlocal(), Vec::new());
-        let jac = Bcsr4::from_pattern(&full_cols);
-
+        let vol = sub
+            .owned
+            .iter()
+            .chain(&sub.ghosts)
+            .map(|&g| setup.dual.vol[g as usize])
+            .collect();
+        let jac = Bcsr4::from_edges(sub.nlocal(), &sub.edges);
         RankApp {
             setup,
             sub,
-            nx,
-            ny,
-            nz,
-            rx,
-            ry,
-            rz,
-            bc_local,
+            geom,
+            bc,
             vol,
             jac,
-            factors: None,
+            precond: None,
         }
     }
 
@@ -173,190 +155,46 @@ impl<'a> RankApp<'a> {
     }
 
     /// Free-stream local state.
-    pub fn initial_state(&self) -> Vec<f64> {
-        let mut u = vec![0.0; self.nlocal4()];
-        for v in 0..self.sub.nlocal() {
-            u[v * 4..v * 4 + 4].copy_from_slice(&self.setup.cond.qinf);
-        }
-        u
+    pub fn initial_state(&self) -> NodeAos {
+        let mut node = NodeAos::zeros(self.sub.nlocal());
+        node.set_freestream(&self.setup.cond.qinf);
+        node
     }
 
-    /// Distributed residual: `u` is the local state (owned part
-    /// significant on entry; ghosts refreshed here); writes the owned
-    /// residual into `r`. `grad` is a `nlocal*12` scratch buffer.
-    pub fn residual(&self, comm: &Comm, u: &mut [f64], grad: &mut [f64], r: &mut [f64]) {
-        assert_eq!(u.len(), self.nlocal4());
-        assert_eq!(grad.len(), self.sub.nlocal() * 12);
-        assert_eq!(r.len(), self.nowned4());
-        let beta = self.setup.cond.beta;
-        halo_exchange(comm, &self.sub, u);
-
-        // Green-Gauss on owned vertices (owner-only writes), then
-        // exchange ghost gradients.
-        grad.iter_mut().for_each(|x| *x = 0.0);
-        for (k, (le, &mask)) in self.sub.edges.iter().zip(&self.sub.write_masks).enumerate() {
-            let (a, b) = (le[0] as usize, le[1] as usize);
-            let s = [self.nx[k], self.ny[k], self.nz[k]];
-            for c in 0..4 {
-                let qf = 0.5 * (u[a * 4 + c] + u[b * 4 + c]);
-                for d in 0..3 {
-                    if mask & 1 != 0 {
-                        grad[a * 12 + c * 3 + d] += qf * s[d];
-                    }
-                    if mask & 2 != 0 {
-                        grad[b * 12 + c * 3 + d] -= qf * s[d];
-                    }
-                }
-            }
-        }
-        for &(v, n, _) in &self.bc_local {
-            let v = v as usize;
-            for c in 0..4 {
-                let qv = u[v * 4 + c];
-                for d in 0..3 {
-                    grad[v * 12 + c * 3 + d] += qv * n[d];
-                }
-            }
-        }
-        for v in 0..self.sub.nowned() {
-            let inv = 1.0 / self.vol[v];
-            for f in 0..12 {
-                grad[v * 12 + f] *= inv;
-            }
-        }
-        halo_exchange_stride(comm, &self.sub, grad, 12);
-
-        // Masked Roe flux loop (second-order reconstruction).
+    /// Distributed residual. `node` holds the local state (owned part
+    /// significant on entry; ghosts, then gradients, refreshed here);
+    /// `r` (`nlocal4` long) receives the residual, significant on the
+    /// owned entries.
+    pub fn residual(&self, comm: &Comm, node: &mut NodeAos, r: &mut [f64]) {
+        halo_exchange(comm, &self.sub, &mut node.q);
+        gradient::green_gauss(&self.geom, &self.bc, &self.vol, node);
+        halo_exchange_stride(comm, &self.sub, &mut node.grad, 12);
         r.iter_mut().for_each(|x| *x = 0.0);
-        for (k, (le, &mask)) in self.sub.edges.iter().zip(&self.sub.write_masks).enumerate() {
-            let (a, b) = (le[0] as usize, le[1] as usize);
-            let n = [self.nx[k], self.ny[k], self.nz[k]];
-            let rr = [self.rx[k], self.ry[k], self.rz[k]];
-            let mut ql = [0.0f64; 4];
-            let mut qr = [0.0f64; 4];
-            for c in 0..4 {
-                let ga = &grad[a * 12 + c * 3..a * 12 + c * 3 + 3];
-                let gb = &grad[b * 12 + c * 3..b * 12 + c * 3 + 3];
-                let da = ga[0] * rr[0] + ga[1] * rr[1] + ga[2] * rr[2];
-                let db = gb[0] * rr[0] + gb[1] * rr[1] + gb[2] * rr[2];
-                ql[c] = u[a * 4 + c] + 0.5 * da;
-                qr[c] = u[b * 4 + c] - 0.5 * db;
-            }
-            let f = euler::roe_flux(&ql, &qr, &n, beta);
-            for c in 0..4 {
-                if mask & 1 != 0 {
-                    r[a * 4 + c] += f[c];
-                }
-                if mask & 2 != 0 {
-                    r[b * 4 + c] -= f[c];
-                }
-            }
-        }
-        for &(v, n, tag) in &self.bc_local {
-            let v = v as usize;
-            let q: [f64; 4] = u[v * 4..v * 4 + 4].try_into().unwrap();
-            let f = match tag {
-                fun3d_mesh::BcTag::SlipWall | fun3d_mesh::BcTag::Symmetry => {
-                    fun3d_core::bc::wall_flux(&q, &n)
-                }
-                fun3d_mesh::BcTag::FarField => {
-                    fun3d_core::bc::farfield_flux(&q, &self.setup.cond.qinf, &n, beta)
-                }
-            };
-            for c in 0..4 {
-                r[v * 4 + c] += f[c];
-            }
-        }
+        flux::serial_aos(&self.geom, node, self.setup.cond.beta, r);
+        bc::residual(&self.bc, node, &self.setup.cond, r);
     }
 
-    /// Assembles the first-order Jacobian of the owned rows (columns over
-    /// owned + ghost), adds the pseudo-time shift, and refreshes the
-    /// per-rank ILU factors. `u` must have current ghost values.
-    pub fn build_preconditioner(&mut self, u: &[f64], dt: f64, fill: usize) {
+    /// The pseudo-time diagonal `V/Δt` per local unknown (over `β` on
+    /// the pressure equation).
+    fn time_shift(&self, dt: f64) -> Vec<f64> {
         let beta = self.setup.cond.beta;
-        self.jac.zero_values();
-        for (k, (le, &mask)) in self.sub.edges.iter().zip(&self.sub.write_masks).enumerate() {
-            let (a, b) = (le[0] as usize, le[1] as usize);
-            let n = [self.nx[k], self.ny[k], self.nz[k]];
-            let qa: [f64; 4] = u[a * 4..a * 4 + 4].try_into().unwrap();
-            let qb: [f64; 4] = u[b * 4..b * 4 + 4].try_into().unwrap();
-            let lam = euler::spectral_radius(&qa, &n, beta)
-                .max(euler::spectral_radius(&qb, &n, beta));
-            let mut da = euler::flux_jacobian(&qa, &n, beta);
-            let mut db = euler::flux_jacobian(&qb, &n, beta);
-            for x in da.iter_mut() {
-                *x *= 0.5;
-            }
-            for x in db.iter_mut() {
-                *x *= 0.5;
-            }
-            for d in 0..4 {
-                da[d * 4 + d] += 0.5 * lam;
-                db[d * 4 + d] -= 0.5 * lam;
-            }
-            let neg = |m: &[f64; 16]| {
-                let mut o = *m;
-                for x in o.iter_mut() {
-                    *x = -*x;
-                }
-                o
-            };
-            if mask & 1 != 0 {
-                self.jac.add_block(a, a as u32, &da);
-                self.jac.add_block(a, b as u32, &db);
-            }
-            if mask & 2 != 0 {
-                self.jac.add_block(b, a as u32, &neg(&da));
-                self.jac.add_block(b, b as u32, &neg(&db));
-            }
-        }
-        for &(v, n, tag) in &self.bc_local {
-            let v = v as usize;
-            let q: [f64; 4] = u[v * 4..v * 4 + 4].try_into().unwrap();
-            let block = match tag {
-                fun3d_mesh::BcTag::SlipWall | fun3d_mesh::BcTag::Symmetry => {
-                    let mut b = [0.0f64; 16];
-                    b[4] = n[0];
-                    b[8] = n[1];
-                    b[12] = n[2];
-                    b
-                }
-                fun3d_mesh::BcTag::FarField => {
-                    let qm = [
-                        0.5 * (q[0] + self.setup.cond.qinf[0]),
-                        0.5 * (q[1] + self.setup.cond.qinf[1]),
-                        0.5 * (q[2] + self.setup.cond.qinf[2]),
-                        0.5 * (q[3] + self.setup.cond.qinf[3]),
-                    ];
-                    let lam = euler::spectral_radius(&qm, &n, beta);
-                    let mut b = euler::flux_jacobian(&q, &n, beta);
-                    for x in b.iter_mut() {
-                        *x *= 0.5;
-                    }
-                    for d in 0..4 {
-                        b[d * 4 + d] += 0.5 * lam;
-                    }
-                    b
-                }
-            };
-            self.jac.add_block(v, v as u32, &block);
-        }
-        // pseudo-time shift on owned diagonals
-        for v in 0..self.sub.nowned() {
-            let vdt = self.vol[v] / dt;
-            let k = self.jac.find(v, v as u32).unwrap();
-            self.jac.blocks[k * 16] += vdt / beta;
-            for d in 1..4 {
-                self.jac.blocks[k * 16 + d * 4 + d] += vdt;
-            }
-        }
-        self.factors = Some(local_ilu(&self.jac, &self.sub, fill));
+        self.vol
+            .iter()
+            .flat_map(|&v| {
+                let vdt = v / dt;
+                [vdt / beta, vdt, vdt, vdt]
+            })
+            .collect()
     }
 
-    fn apply_precond(&self, r: &[f64], z: &mut [f64]) {
-        let f = self.factors.as_ref().expect("preconditioner built");
-        let x = trsv::solve(f, r);
-        z.copy_from_slice(&x);
+    /// Assembles the first-order Jacobian, adds the pseudo-time shift,
+    /// and refreshes the per-rank ILU factors. `node` must have current
+    /// ghost values.
+    pub fn build_preconditioner(&mut self, node: &NodeAos, dt: f64, fill: usize) {
+        let shift = self.time_shift(dt);
+        jacobian::assemble(&self.geom, &self.bc, node, &self.setup.cond, &mut self.jac);
+        jacobian::add_time_diagonal(&mut self.jac, &shift);
+        self.precond = Some(local_ilu(&self.jac, &self.sub, fill));
     }
 }
 
@@ -385,13 +223,10 @@ pub fn solve(
     fill: usize,
 ) -> (Vec<f64>, DistPtcStats) {
     let n = app.nowned4();
-    let mut u = app.initial_state();
-    let mut grad = vec![0.0; app.sub.nlocal() * 12];
-    let mut r = vec![0.0; n];
-    let mut shift_dt;
-
-    app.residual(comm, &mut u, &mut grad, &mut r);
-    let res0 = dnorm2(comm, &r);
+    let mut node = app.initial_state();
+    let mut r = vec![0.0; app.nlocal4()];
+    app.residual(comm, &mut node, &mut r);
+    let res0 = global_norm2(comm, &r[..n]);
     let mut res = res0;
     let mut stats = DistPtcStats {
         time_steps: 0,
@@ -399,20 +234,40 @@ pub fn solve(
         res_history: vec![res0],
         converged: false,
     };
+    let mut gmres = Gmres::new(
+        n,
+        GmresConfig {
+            restart: 30,
+            rtol: 1e-3,
+            max_iters: 200,
+            ..Default::default()
+        },
+    );
+    // Perturbed state and residual of the matrix-free operator.
+    let scratch = RefCell::new((app.initial_state(), vec![0.0; app.nlocal4()]));
 
     for step in 0..max_steps {
-        shift_dt = (dt0 * res0 / res).min(1e12);
-        app.build_preconditioner(&u, shift_dt, fill);
+        let dt = (dt0 * res0 / res).min(1e12);
+        app.build_preconditioner(&node, dt, fill);
 
         // matrix-free distributed GMRES on (V/Δt + J) δ = −r
+        let shift = app.time_shift(dt);
+        let rhs: Vec<f64> = r[..n].iter().map(|x| -x).collect();
         let mut delta = vec![0.0; n];
-        let iters = dist_gmres_matrix_free(comm, app, &u, &r, shift_dt, &mut delta, 30, 1e-3, 200);
-        stats.linear_iters += iters;
-        for i in 0..n {
-            u[i] += delta[i];
-        }
-        app.residual(comm, &mut u, &mut grad, &mut r);
-        res = dnorm2(comm, &r);
+        let app: &RankApp = app;
+        let residual = |u: &[f64], ru: &mut [f64]| {
+            let (unode, rl) = &mut *scratch.borrow_mut();
+            unode.q[..n].copy_from_slice(u);
+            app.residual(comm, unode, rl);
+            ru.copy_from_slice(&rl[..n]);
+        };
+        let jac = FdJacobian::new(residual, &node.q[..n], &r[..n], &shift[..n]).with_sum(comm);
+        let precond = app.precond.as_ref().expect("preconditioner built");
+        let lin = gmres.solve_global(&jac, precond, &rhs, &mut delta, comm);
+        stats.linear_iters += lin.iterations;
+        vecops::axpy(&mut node.q[..n], 1.0, &delta);
+        app.residual(comm, &mut node, &mut r);
+        res = global_norm2(comm, &r[..n]);
         stats.time_steps = step + 1;
         stats.res_history.push(res);
         if res <= rtol * res0 {
@@ -423,157 +278,7 @@ pub fn solve(
             break;
         }
     }
-    (u[..n].to_vec(), stats)
-}
-
-/// Left-preconditioned distributed GMRES where the operator action is a
-/// finite difference of the distributed residual plus the pseudo-time
-/// diagonal. Returns iterations.
-#[allow(clippy::too_many_arguments)]
-fn dist_gmres_matrix_free(
-    comm: &Comm,
-    app: &RankApp<'_>,
-    u: &[f64],
-    r0: &[f64],
-    dt: f64,
-    x: &mut [f64],
-    restart: usize,
-    rtol: f64,
-    max_iters: usize,
-) -> usize {
-    let n = app.nowned4();
-    let nlocal = app.nlocal4();
-    let unorm = dnorm2(comm, &u[..n]);
-    let mut grad = vec![0.0; app.sub.nlocal() * 12];
-    let mut upert = vec![0.0; nlocal];
-    let mut rpert = vec![0.0; n];
-
-    // operator: y = shift .* v + (R(u + eps v) - R(u)) / eps
-    let mut apply = |v: &[f64], y: &mut [f64], comm: &Comm| {
-        let vnorm = dnorm2(comm, v);
-        if vnorm == 0.0 {
-            y.iter_mut().for_each(|z| *z = 0.0);
-            return;
-        }
-        let eps = f64::EPSILON.sqrt() * (1.0 + unorm) / vnorm;
-        upert[..n].copy_from_slice(&u[..n]);
-        for i in 0..n {
-            upert[i] += eps * v[i];
-        }
-        app.residual(comm, &mut upert, &mut grad, &mut rpert);
-        let inv = 1.0 / eps;
-        for i in 0..n {
-            y[i] = (rpert[i] - r0[i]) * inv;
-        }
-        for vtx in 0..app.sub.nowned() {
-            let vdt = app.vol[vtx] / dt;
-            y[vtx * 4] += vdt / app.setup.cond.beta * v[vtx * 4];
-            for c in 1..4 {
-                y[vtx * 4 + c] += vdt * v[vtx * 4 + c];
-            }
-        }
-    };
-
-    let b: Vec<f64> = r0.iter().map(|x| -x).collect();
-    let mut w = vec![0.0; n];
-    let mut z = vec![0.0; n];
-    let mut basis: Vec<Vec<f64>> = (0..restart + 1).map(|_| vec![0.0; n]).collect();
-    let mut h = vec![0.0; (restart + 1) * restart];
-    let mut total = 0usize;
-    let mut res0g = f64::NAN;
-
-    loop {
-        apply(x, &mut w, comm);
-        for i in 0..n {
-            w[i] = b[i] - w[i];
-        }
-        app.apply_precond(&w, &mut z);
-        let beta = dnorm2(comm, &z);
-        if res0g.is_nan() {
-            res0g = beta;
-        }
-        if beta <= rtol * res0g || beta == 0.0 || total >= max_iters {
-            return total;
-        }
-        for i in 0..n {
-            basis[0][i] = z[i] / beta;
-        }
-        let mut g = vec![0.0; restart + 1];
-        g[0] = beta;
-        let mut cs = vec![0.0; restart];
-        let mut sn = vec![0.0; restart];
-        let mut kdone = 0usize;
-        let mut res = beta;
-        let mut converged = false;
-
-        for k in 0..restart {
-            if total >= max_iters {
-                break;
-            }
-            total += 1;
-            apply(&basis[k], &mut w, comm);
-            app.apply_precond(&w, &mut z);
-            let mut dots_local = vec![0.0; k + 1];
-            for (j, vj) in basis[..=k].iter().enumerate() {
-                dots_local[j] = z.iter().zip(vj).map(|(a, b)| a * b).sum();
-            }
-            let dots = comm.allreduce_sum(&dots_local);
-            for (j, vj) in basis[..=k].iter().enumerate() {
-                for i in 0..n {
-                    z[i] -= dots[j] * vj[i];
-                }
-                h[k * (restart + 1) + j] = dots[j];
-            }
-            let hnorm = dnorm2(comm, &z);
-            h[k * (restart + 1) + k + 1] = hnorm;
-            kdone = k + 1;
-            if hnorm > 1e-14 * res.max(1.0) {
-                for i in 0..n {
-                    basis[k + 1][i] = z[i] / hnorm;
-                }
-            }
-            let col = &mut h[k * (restart + 1)..(k + 1) * (restart + 1)];
-            for i in 0..k {
-                let t = cs[i] * col[i] + sn[i] * col[i + 1];
-                col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1];
-                col[i] = t;
-            }
-            let denom = (col[k] * col[k] + col[k + 1] * col[k + 1]).sqrt();
-            let (c, s) = if col[k + 1] == 0.0 {
-                (1.0, 0.0)
-            } else {
-                (col[k] / denom, col[k + 1] / denom)
-            };
-            cs[k] = c;
-            sn[k] = s;
-            col[k] = c * col[k] + s * col[k + 1];
-            col[k + 1] = 0.0;
-            let t = c * g[k] + s * g[k + 1];
-            g[k + 1] = -s * g[k] + c * g[k + 1];
-            g[k] = t;
-            res = g[k + 1].abs();
-            if res <= rtol * res0g || hnorm <= 1e-14 * res.max(1.0) {
-                converged = true;
-                break;
-            }
-        }
-        let mut y = vec![0.0; kdone];
-        for i in (0..kdone).rev() {
-            let mut acc = g[i];
-            for j in i + 1..kdone {
-                acc -= h[j * (restart + 1) + i] * y[j];
-            }
-            y[i] = acc / h[i * (restart + 1) + i];
-        }
-        for (j, vj) in basis[..kdone].iter().enumerate() {
-            for i in 0..n {
-                x[i] += y[j] * vj[i];
-            }
-        }
-        if converged || total >= max_iters {
-            return total;
-        }
-    }
+    (node.q[..n].to_vec(), stats)
 }
 
 #[cfg(test)]
@@ -650,14 +355,13 @@ mod tests {
         let ug_ref = &ug;
         let results = Universe::run(nranks, move |comm| {
             let app = RankApp::new(setup_ref, comm.rank());
-            let mut u = vec![0.0; app.nlocal4()];
+            let mut node = fun3d_core::NodeAos::zeros(app.sub.nlocal());
             for (l, &g) in app.sub.owned.iter().enumerate() {
-                u[l * 4..l * 4 + 4]
+                node.q[l * 4..l * 4 + 4]
                     .copy_from_slice(&ug_ref[g as usize * 4..g as usize * 4 + 4]);
             }
-            let mut grad = vec![0.0; app.sub.nlocal() * 12];
-            let mut r = vec![0.0; app.nowned4()];
-            app.residual(&comm, &mut u, &mut grad, &mut r);
+            let mut r = vec![0.0; app.nlocal4()];
+            app.residual(&comm, &mut node, &mut r);
             (app.sub.owned.clone(), r)
         });
         let mut r_dist = vec![0.0; mesh.nvertices() * 4];

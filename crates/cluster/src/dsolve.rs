@@ -1,10 +1,12 @@
-//! A genuinely distributed GMRES + block-Jacobi-ILU solve over the rank
-//! runtime — the correctness backbone of the multi-node experiments.
+//! The distributed linear system of one rank, solved by the one GMRES
+//! in [`fun3d_solver::gmres`] — the correctness backbone of the
+//! multi-node experiments.
 //!
 //! Each rank owns the matrix rows of its subdomain's vertices; matrix
 //! columns reference owned + ghost vertices, and a halo exchange
-//! refreshes ghost values before every matrix application (PETSc's
-//! `VecScatter`). Inner products allreduce over ranks. The preconditioner
+//! refreshes ghost values inside every operator application (PETSc's
+//! `VecScatter`). Inner products allreduce over ranks through
+//! [`Comm`]'s [`GlobalSum`](fun3d_solver::GlobalSum) hook. The preconditioner
 //! is one ILU per rank on the owned-owned diagonal block — single-level
 //! additive Schwarz with zero overlap, whose convergence degradation with
 //! rank count is exactly the effect the paper reports (+30% iterations at
@@ -12,7 +14,9 @@
 
 use crate::comm::Comm;
 use crate::decompose::Subdomain;
-use fun3d_sparse::{ilu, trsv, Bcsr4, IluFactors};
+use fun3d_solver::precond::{IluApply, SerialIlu};
+use fun3d_solver::LinearOperator;
+use fun3d_sparse::{ilu, Bcsr4};
 
 /// Halo exchange with an arbitrary per-vertex stride: sends owned
 /// boundary values, fills ghost slots.
@@ -79,8 +83,9 @@ pub fn localize_matrix(aglob: &Bcsr4, sub: &Subdomain) -> Bcsr4 {
     local
 }
 
-/// Extracts the owned-owned diagonal block and factors it with ILU(fill).
-pub fn local_ilu(local: &Bcsr4, sub: &Subdomain, fill: usize) -> IluFactors {
+/// Extracts the owned-owned diagonal block and factors it with ILU(fill),
+/// applied serially.
+pub fn local_ilu(local: &Bcsr4, sub: &Subdomain, fill: usize) -> SerialIlu {
     let nowned = sub.nowned();
     let cols: Vec<Vec<u32>> = (0..nowned)
         .map(|r| {
@@ -102,198 +107,57 @@ pub fn local_ilu(local: &Bcsr4, sub: &Subdomain, fill: usize) -> IluFactors {
             }
         }
     }
-    ilu::iluk(&diag, fill)
+    SerialIlu {
+        factors: ilu::iluk(&diag, fill),
+        apply_mode: IluApply::Serial,
+    }
 }
 
-/// One rank's distributed linear-system context.
-pub struct DistSystem {
+/// One rank's distributed linear system: a [`LinearOperator`] over the
+/// owned entries whose `apply` halo-exchanges, plus its block-Jacobi
+/// preconditioner.
+pub struct DistSystem<'c> {
+    comm: &'c Comm,
     /// This rank's subdomain.
     pub sub: Subdomain,
     /// Local matrix rows (owned rows, owned+ghost columns).
     pub a: Bcsr4,
     /// Block-Jacobi ILU of the owned-owned block.
-    pub precond: IluFactors,
+    pub precond: SerialIlu,
 }
 
-impl DistSystem {
+impl<'c> DistSystem<'c> {
     /// Builds from the global matrix and a subdomain.
-    pub fn new(aglob: &Bcsr4, sub: Subdomain, fill: usize) -> DistSystem {
+    pub fn new(comm: &'c Comm, aglob: &Bcsr4, sub: Subdomain, fill: usize) -> DistSystem<'c> {
         let a = localize_matrix(aglob, &sub);
         let precond = local_ilu(&a, &sub, fill);
-        DistSystem { sub, a, precond }
+        DistSystem {
+            comm,
+            sub,
+            a,
+            precond,
+        }
     }
 
     /// Owned scalar dimension.
     pub fn nowned(&self) -> usize {
         self.sub.nowned() * 4
     }
+}
 
-    /// Distributed matvec: halo-exchange `x` (length nlocal·4, owned part
-    /// significant), then `y_owned = A_local · x_local`.
-    pub fn spmv(&self, comm: &Comm, x: &mut [f64], y: &mut [f64]) {
-        halo_exchange(comm, &self.sub, x);
-        let mut full = vec![0.0; self.sub.nlocal() * 4];
-        self.a.spmv(x, &mut full);
-        y.copy_from_slice(&full[..self.nowned()]);
+impl LinearOperator for DistSystem<'_> {
+    fn dim(&self) -> usize {
+        self.nowned()
     }
 
-    /// Applies the local ILU to the owned part of `r`.
-    pub fn apply_precond(&self, r: &[f64], z: &mut [f64]) {
-        let x = trsv::solve(&self.precond, &r[..self.nowned()]);
-        z[..self.nowned()].copy_from_slice(&x);
-    }
-}
-
-/// Distributed dot product over owned entries.
-pub fn ddot(comm: &Comm, x: &[f64], y: &[f64]) -> f64 {
-    let local: f64 = x.iter().zip(y).map(|(a, b)| a * b).sum();
-    comm.allreduce_sum(&[local])[0]
-}
-
-/// Distributed 2-norm over owned entries.
-pub fn dnorm2(comm: &Comm, x: &[f64]) -> f64 {
-    ddot(comm, x, x).sqrt()
-}
-
-/// Result of a distributed GMRES solve (per rank; identical on all).
-#[derive(Clone, Copy, Debug)]
-pub struct DistSolveResult {
-    /// Iterations used.
-    pub iterations: usize,
-    /// Final preconditioned residual norm.
-    pub residual: f64,
-    /// Whether the tolerance was met.
-    pub converged: bool,
-}
-
-/// Distributed left-preconditioned GMRES(restart). `b` and `x` are the
-/// owned parts; returns identical results on every rank.
-pub fn gmres(
-    comm: &Comm,
-    sys: &DistSystem,
-    b: &[f64],
-    x: &mut [f64],
-    restart: usize,
-    rtol: f64,
-    max_iters: usize,
-) -> DistSolveResult {
-    let n = sys.nowned();
-    assert_eq!(b.len(), n);
-    assert_eq!(x.len(), n);
-    let nlocal = sys.sub.nlocal() * 4;
-    let mut xfull = vec![0.0; nlocal];
-    let mut w = vec![0.0; n];
-    let mut z = vec![0.0; n];
-    let mut basis: Vec<Vec<f64>> = (0..restart + 1).map(|_| vec![0.0; n]).collect();
-    let mut h = vec![0.0; (restart + 1) * restart];
-
-    let mut total = 0usize;
-    let mut res0 = f64::NAN;
-    loop {
-        // r = M⁻¹(b − A x)
-        xfull[..n].copy_from_slice(x);
-        sys.spmv(comm, &mut xfull, &mut w);
-        for i in 0..n {
-            w[i] = b[i] - w[i];
-        }
-        sys.apply_precond(&w, &mut z);
-        let beta = dnorm2(comm, &z[..n]);
-        if res0.is_nan() {
-            res0 = beta;
-        }
-        if beta <= rtol * res0 || beta == 0.0 {
-            return DistSolveResult {
-                iterations: total,
-                residual: beta,
-                converged: true,
-            };
-        }
-        for i in 0..n {
-            basis[0][i] = z[i] / beta;
-        }
-        let mut g = vec![0.0; restart + 1];
-        g[0] = beta;
-        let mut cs = vec![0.0; restart];
-        let mut sn = vec![0.0; restart];
-        let mut kdone = 0usize;
-        let mut res = beta;
-        let mut converged = false;
-
-        for k in 0..restart {
-            if total >= max_iters {
-                break;
-            }
-            total += 1;
-            xfull[..n].copy_from_slice(&basis[k]);
-            sys.spmv(comm, &mut xfull, &mut w);
-            sys.apply_precond(&w, &mut z);
-            // CGS with one fused allreduce (VecMDot semantics)
-            let mut dots_local = vec![0.0; k + 1];
-            for (j, vj) in basis[..=k].iter().enumerate() {
-                dots_local[j] = z[..n].iter().zip(vj).map(|(a, b)| a * b).sum();
-            }
-            let dots = comm.allreduce_sum(&dots_local);
-            for (j, vj) in basis[..=k].iter().enumerate() {
-                for i in 0..n {
-                    z[i] -= dots[j] * vj[i];
-                }
-                h[k * (restart + 1) + j] = dots[j];
-            }
-            let hnorm = dnorm2(comm, &z[..n]);
-            h[k * (restart + 1) + k + 1] = hnorm;
-            kdone = k + 1;
-            if hnorm > 1e-14 * res.max(1.0) {
-                for i in 0..n {
-                    basis[k + 1][i] = z[i] / hnorm;
-                }
-            }
-            let col = &mut h[k * (restart + 1)..(k + 1) * (restart + 1)];
-            for i in 0..k {
-                let t = cs[i] * col[i] + sn[i] * col[i + 1];
-                col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1];
-                col[i] = t;
-            }
-            let denom = (col[k] * col[k] + col[k + 1] * col[k + 1]).sqrt();
-            let (c, s) = if col[k + 1] == 0.0 {
-                (1.0, 0.0)
-            } else {
-                (col[k] / denom, col[k + 1] / denom)
-            };
-            cs[k] = c;
-            sn[k] = s;
-            col[k] = c * col[k] + s * col[k + 1];
-            col[k + 1] = 0.0;
-            let t = c * g[k] + s * g[k + 1];
-            g[k + 1] = -s * g[k] + c * g[k + 1];
-            g[k] = t;
-            res = g[k + 1].abs();
-            if res <= rtol * res0 || hnorm <= 1e-14 * res.max(1.0) {
-                converged = true;
-                break;
-            }
-        }
-
-        // form update
-        let mut y = vec![0.0; kdone];
-        for i in (0..kdone).rev() {
-            let mut acc = g[i];
-            for j in i + 1..kdone {
-                acc -= h[j * (restart + 1) + i] * y[j];
-            }
-            y[i] = acc / h[i * (restart + 1) + i];
-        }
-        for (j, vj) in basis[..kdone].iter().enumerate() {
-            for i in 0..n {
-                x[i] += y[j] * vj[i];
-            }
-        }
-        if converged || total >= max_iters {
-            return DistSolveResult {
-                iterations: total,
-                residual: res,
-                converged,
-            };
-        }
+    /// `y = A_local · x` after a halo exchange fills `x`'s ghost entries.
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        let mut xl = vec![0.0; self.sub.nlocal() * 4];
+        xl[..x.len()].copy_from_slice(x);
+        halo_exchange(self.comm, &self.sub, &mut xl);
+        let mut yl = vec![0.0; xl.len()];
+        self.a.spmv(&xl, &mut yl);
+        y.copy_from_slice(&yl[..y.len()]);
     }
 }
 
@@ -303,6 +167,7 @@ mod tests {
     use crate::comm::Universe;
     use crate::decompose::Decomposition;
     use fun3d_mesh::generator::MeshPreset;
+    use fun3d_solver::{Gmres, GmresConfig};
 
     fn global_system() -> (Bcsr4, Vec<f64>, Vec<f64>) {
         let m = MeshPreset::Tiny.build();
@@ -326,7 +191,7 @@ mod tests {
         let subs = decomp.subdomains.clone();
         let results = Universe::run(nranks, |comm| {
             let sub = subs[comm.rank()].clone();
-            let sys = DistSystem::new(&a, sub, 0);
+            let sys = DistSystem::new(&comm, &a, sub, 0);
             let blocal: Vec<f64> = sys
                 .sub
                 .owned
@@ -334,8 +199,20 @@ mod tests {
                 .flat_map(|&g| b[g as usize * 4..g as usize * 4 + 4].to_vec())
                 .collect();
             let mut x = vec![0.0; sys.nowned()];
-            let stats = gmres(&comm, &sys, &blocal, &mut x, 30, 1e-10, 500);
-            assert!(stats.converged, "rank {} diverged", comm.rank());
+            let cfg = GmresConfig {
+                restart: 30,
+                rtol: 1e-10,
+                max_iters: 500,
+                ..Default::default()
+            };
+            let stats = Gmres::new(sys.nowned(), cfg).solve_global(
+                &sys,
+                &sys.precond,
+                &blocal,
+                &mut x,
+                &comm,
+            );
+            assert!(stats.converged(), "rank {} diverged", comm.rank());
             (sys.sub.owned.clone(), x, stats.iterations)
         });
         // stitch the global solution

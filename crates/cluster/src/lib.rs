@@ -8,9 +8,12 @@
 //! 1. **Correctness layer** — [`comm`] runs R "ranks" as OS threads with
 //!    MPI-like semantics (send/recv, allreduce, barrier); [`decompose`]
 //!    performs the Schwarz domain decomposition (owned + ghost vertices,
-//!    halo exchange lists); [`dsolve`] runs a real distributed
-//!    GMRES/block-Jacobi-ILU solve through those code paths and is tested
-//!    to agree with the serial solver.
+//!    halo exchange lists); [`dsolve`] is one rank's linear system (a
+//!    halo-exchanging operator plus block-Jacobi ILU) and [`dapp`] the
+//!    full nonlinear application on the `fun3d_core` kernels. Both are
+//!    solved by `fun3d_solver`'s own GMRES, whose inner products
+//!    allreduce through [`Comm`]; they are tested to agree with the
+//!    serial solver.
 //! 2. **Performance layer** — [`scaling`] extracts each rank's real
 //!    workload (edges incl. replication, factor rows, halo sizes,
 //!    neighbor counts) from the same decomposition and charges hardware

@@ -7,7 +7,11 @@
 //! least-squares update so the residual norm is available every iteration
 //! without forming the solution.
 //!
-//! Three execution modes ([`GmresExec`]):
+//! The restart loop, the Givens rotations, the back-substitution and the
+//! stopping rules are written once (`drive`). An executor supplies only
+//! the vector work of three steps (`Step`): the cycle-start residual,
+//! one Arnoldi step, and the solution update. Three executors
+//! ([`GmresExec`]):
 //!
 //! * **Serial** — stock single-threaded vector ops (the baseline).
 //! * **PerOp** — region-per-op threading: every vector op, SpMV, and
@@ -20,6 +24,13 @@
 //!   phases instead of region boundaries and tree reductions instead of
 //!   per-op rendezvous.
 //!
+//! Serial and PerOp share one step, whose every inner product is a local
+//! partial made global by a [`GlobalSum`] hook. In one address space the
+//! hook is the identity ([`LocalSum`]). On a rank of a distributed solve
+//! it is the allreduce ([`Gmres::solve_global`]): the distributed solver
+//! is this one with another hook, single-reduction mode included, and
+//! [`GmresResult::reductions`] counts its allreduces.
+//!
 //! PerOp and Team share identical chunking and thread-order reductions,
 //! so at a fixed thread count they produce bitwise-identical iterates and
 //! residual histories — the persistent-region restructuring changes only
@@ -28,7 +39,7 @@
 use crate::op::LinearOperator;
 use crate::precond::Preconditioner;
 use crate::team as team_ops;
-use crate::vecops;
+use crate::vecops::{self, GlobalSum, LocalSum};
 use fun3d_threads::{Team, TeamSlice, ThreadPool};
 
 /// GMRES parameters.
@@ -105,9 +116,11 @@ pub struct GmresResult {
     pub residual: f64,
     /// Initial preconditioned residual norm.
     pub residual0: f64,
-    /// Global reductions performed (dot-product/norm rounds — what an
-    /// `MPI_Allreduce` would be in the distributed setting). Standard
-    /// CGS-GMRES performs 2 per iteration; single-reduction mode 1.
+    /// Global reductions performed: dot-product/norm rounds, each one
+    /// [`GlobalSum::global_sum`] call. On a rank
+    /// ([`Gmres::solve_global`]) that is the measured number of
+    /// allreduces. Standard CGS-GMRES performs 2 per iteration;
+    /// single-reduction mode 1.
     pub reductions: usize,
     /// Per-iteration Givens residual norms, in iteration order across
     /// restarts. Execution-path equivalence is asserted on this.
@@ -115,6 +128,13 @@ pub struct GmresResult {
     /// The concrete execution scheme that ran (`"serial"`, `"per-op"`,
     /// `"team"`) — for [`GmresExec::Auto`], whichever the policy chose.
     pub exec: &'static str,
+}
+
+impl GmresResult {
+    /// True unless the solve ran out of iterations.
+    pub fn converged(&self) -> bool {
+        self.outcome != GmresOutcome::MaxIterations
+    }
 }
 
 /// Shared-reference wrapper asserting team-call safety for trait objects
@@ -174,6 +194,22 @@ impl Gmres {
         self.solve_with(a, m, b, x, GmresExec::Serial)
     }
 
+    /// Solves one rank's share of a distributed system with serial vector
+    /// ops. `a`, `m`, `b` and `x` cover this rank's owned entries (the
+    /// operator does its own halo exchange), and `sum` makes each local
+    /// partial inner product global. With [`LocalSum`] this is
+    /// [`Gmres::solve`].
+    pub fn solve_global(
+        &mut self,
+        a: &dyn LinearOperator,
+        m: &dyn Preconditioner,
+        b: &[f64],
+        x: &mut [f64],
+        sum: &dyn GlobalSum,
+    ) -> GmresResult {
+        self.solve_seq(a, m, b, x, None, sum)
+    }
+
     /// Solves `A x = b` under the chosen execution mode.
     pub fn solve_with(
         &mut self,
@@ -184,24 +220,24 @@ impl Gmres {
         exec: GmresExec,
     ) -> GmresResult {
         match exec {
-            GmresExec::Serial => self.solve_seq(a, m, b, x, None),
-            GmresExec::PerOp(pool) => self.solve_seq(a, m, b, x, Some(pool)),
+            GmresExec::Serial => self.solve_seq(a, m, b, x, None, &LocalSum),
+            GmresExec::PerOp(pool) => self.solve_seq(a, m, b, x, Some(pool), &LocalSum),
             GmresExec::Team(pool) => self.solve_team(a, m, b, x, pool),
             GmresExec::Auto(pool) => {
                 let decision =
                     crate::policy::AutoPolicy::for_pool(pool).decision(b.len(), pool.size());
                 decision.record(b.len(), pool.size());
-                match decision.mode {
-                    crate::policy::ExecMode::Serial => self.solve_seq(a, m, b, x, None),
-                    crate::policy::ExecMode::PerOp => self.solve_seq(a, m, b, x, Some(pool)),
-                    _ => self.solve_team(a, m, b, x, pool),
-                }
+                let exec = match decision.mode {
+                    crate::policy::ExecMode::Serial => GmresExec::Serial,
+                    crate::policy::ExecMode::PerOp => GmresExec::PerOp(pool),
+                    _ => GmresExec::Team(pool),
+                };
+                self.solve_with(a, m, b, x, exec)
             }
         }
     }
 
-    /// Serial and region-per-op paths: one control flow, ops dispatched
-    /// per call site (`pool: None` = serial).
+    /// Serial (`pool: None`) and region-per-op solves.
     fn solve_seq(
         &mut self,
         a: &dyn LinearOperator,
@@ -209,247 +245,26 @@ impl Gmres {
         b: &[f64],
         x: &mut [f64],
         pool: Option<&ThreadPool>,
+        sum: &dyn GlobalSum,
     ) -> GmresResult {
-        let n = b.len();
-        assert_eq!(a.dim(), n);
-        assert_eq!(x.len(), n);
-        let restart = self.config.restart;
+        check_dims(a, b, x);
+        let step = SeqStep {
+            a,
+            m,
+            b,
+            x,
+            basis: &mut self.basis,
+            work: &mut self.work,
+            work2: &mut self.work2,
+            ops: Ops(pool),
+            sum,
+            single: self.config.single_reduction,
+        };
         let exec = if pool.is_some() { "per-op" } else { "serial" };
-
-        let mut total_iters = 0usize;
-        let mut reductions = 0usize;
-        let mut residual0 = f64::NAN;
-        let mut history = Vec::new();
-
-        loop {
-            // r = M^{-1} (b - A x)
-            match pool {
-                None => a.apply(x, &mut self.work),
-                Some(p) => a.apply_parallel(p, x, &mut self.work),
-            }
-            match pool {
-                None => vecops::bsub(&mut self.work, b),
-                Some(p) => vecops::par::bsub(p, &mut self.work, b),
-            }
-            m.apply(&self.work, &mut self.work2);
-            let beta = match pool {
-                None => vecops::norm2(&self.work2),
-                Some(p) => vecops::par::norm2(p, &self.work2),
-            };
-            reductions += 1;
-            if residual0.is_nan() {
-                residual0 = beta;
-            }
-            if beta <= self.config.atol {
-                return GmresResult {
-                    outcome: GmresOutcome::ConvergedAtol,
-                    iterations: total_iters,
-                    residual: beta,
-                    residual0,
-                    reductions,
-                    history,
-                    exec,
-                };
-            }
-            if beta <= self.config.rtol * residual0 {
-                return GmresResult {
-                    outcome: GmresOutcome::ConvergedRtol,
-                    iterations: total_iters,
-                    residual: beta,
-                    residual0,
-                    reductions,
-                    history,
-                    exec,
-                };
-            }
-            // v1 = r/beta
-            match pool {
-                None => vecops::div_into(&mut self.basis[0], &self.work2, beta),
-                Some(p) => vecops::par::div_into(p, &mut self.basis[0], &self.work2, beta),
-            }
-            let mut g = vec![0.0; restart + 1];
-            g[0] = beta;
-            let mut cs = vec![0.0; restart];
-            let mut sn = vec![0.0; restart];
-            let mut k_done = 0usize;
-            let mut finished: Option<GmresOutcome> = None;
-            let mut res = beta;
-
-            for k in 0..restart {
-                if total_iters >= self.config.max_iters {
-                    finished = Some(GmresOutcome::MaxIterations);
-                    break;
-                }
-                total_iters += 1;
-                // w = M^{-1} A v_k
-                match pool {
-                    None => a.apply(&self.basis[k], &mut self.work),
-                    Some(p) => a.apply_parallel(p, &self.basis[k], &mut self.work),
-                }
-                m.apply(&self.work, &mut self.work2);
-                // classical Gram-Schmidt: h[0..=k] = V^T w, w -= V h.
-                // In single-reduction mode, <w,w> joins the same fused
-                // mdot and the new norm comes from Pythagoras.
-                let hkk = {
-                    let refs: Vec<&[f64]> =
-                        self.basis[..=k].iter().map(|v| v.as_slice()).collect();
-                    if self.config.single_reduction {
-                        let mut fused: Vec<&[f64]> = refs.clone();
-                        fused.push(&self.work2);
-                        let mut out = vec![0.0; k + 2];
-                        match pool {
-                            None => vecops::mdot(&self.work2, &fused, &mut out),
-                            Some(p) => vecops::par::mdot(p, &self.work2, &fused, &mut out),
-                        }
-                        reductions += 1;
-                        let ww = out.pop().unwrap();
-                        let coeffs = out;
-                        let neg: Vec<f64> = coeffs.iter().map(|c| -c).collect();
-                        match pool {
-                            None => vecops::maxpy(&mut self.work2, &neg, &refs),
-                            Some(p) => vecops::par::maxpy(p, &mut self.work2, &neg, &refs),
-                        }
-                        for (i, c) in coeffs.iter().enumerate() {
-                            self.h[k * (restart + 1) + i] = *c;
-                        }
-                        let h2: f64 = coeffs.iter().map(|c| c * c).sum();
-                        let mut hkk2 = ww - h2;
-                        // Pythagoras holds only as far as the basis is
-                        // orthonormal; one-pass CGS loses orthogonality
-                        // exactly when the update cancels strongly, so
-                        // fall back to a direct norm whenever less than
-                        // 1% of ‖w‖² survives (one extra reduction on
-                        // those iterations — still fewer on net).
-                        if hkk2 < 1e-2 * ww {
-                            hkk2 = match pool {
-                                None => vecops::dot(&self.work2, &self.work2),
-                                Some(p) => vecops::par::dot(p, &self.work2, &self.work2),
-                            };
-                            reductions += 1;
-                        }
-                        hkk2.max(0.0).sqrt()
-                    } else {
-                        let mut coeffs = vec![0.0; k + 1];
-                        match pool {
-                            None => vecops::mdot(&self.work2, &refs, &mut coeffs),
-                            Some(p) => vecops::par::mdot(p, &self.work2, &refs, &mut coeffs),
-                        }
-                        reductions += 1;
-                        let neg: Vec<f64> = coeffs.iter().map(|c| -c).collect();
-                        match pool {
-                            None => vecops::maxpy(&mut self.work2, &neg, &refs),
-                            Some(p) => vecops::par::maxpy(p, &mut self.work2, &neg, &refs),
-                        }
-                        for (i, c) in coeffs.iter().enumerate() {
-                            self.h[k * (restart + 1) + i] = *c;
-                        }
-                        reductions += 1;
-                        match pool {
-                            None => vecops::norm2(&self.work2),
-                            Some(p) => vecops::par::norm2(p, &self.work2),
-                        }
-                    }
-                };
-                self.h[k * (restart + 1) + k + 1] = hkk;
-                k_done = k + 1;
-                if hkk <= 1e-14 * res.max(1.0) {
-                    finished = Some(GmresOutcome::Breakdown);
-                } else {
-                    let (head, tail) = self.basis.split_at_mut(k + 1);
-                    let _ = head;
-                    match pool {
-                        None => vecops::div_into(&mut tail[0], &self.work2, hkk),
-                        Some(p) => vecops::par::div_into(p, &mut tail[0], &self.work2, hkk),
-                    }
-                }
-                // apply existing Givens rotations to column k
-                let col = &mut self.h[k * (restart + 1)..(k + 1) * (restart + 1)];
-                for i in 0..k {
-                    let t = cs[i] * col[i] + sn[i] * col[i + 1];
-                    col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1];
-                    col[i] = t;
-                }
-                // new rotation to kill col[k+1]
-                let (c, s) = givens(col[k], col[k + 1]);
-                cs[k] = c;
-                sn[k] = s;
-                col[k] = c * col[k] + s * col[k + 1];
-                col[k + 1] = 0.0;
-                let t = c * g[k] + s * g[k + 1];
-                g[k + 1] = -s * g[k] + c * g[k + 1];
-                g[k] = t;
-                res = g[k + 1].abs();
-                history.push(res);
-
-                if res <= self.config.atol {
-                    finished = Some(GmresOutcome::ConvergedAtol);
-                } else if res <= self.config.rtol * residual0 {
-                    finished = Some(GmresOutcome::ConvergedRtol);
-                }
-                if finished.is_some() {
-                    break;
-                }
-            }
-
-            // back-substitute y from the triangularized Hessenberg
-            let kk = k_done;
-            let mut y = vec![0.0; kk];
-            for i in (0..kk).rev() {
-                let mut acc = g[i];
-                for j in i + 1..kk {
-                    acc -= self.h[j * (restart + 1) + i] * y[j];
-                }
-                y[i] = acc / self.h[i * (restart + 1) + i];
-            }
-            // x += V y
-            {
-                let refs: Vec<&[f64]> =
-                    self.basis[..kk].iter().map(|v| v.as_slice()).collect();
-                match pool {
-                    None => vecops::maxpy(x, &y, &refs),
-                    Some(p) => vecops::par::maxpy(p, x, &y, &refs),
-                }
-            }
-
-            match finished {
-                Some(outcome) => {
-                    return GmresResult {
-                        outcome,
-                        iterations: total_iters,
-                        residual: res,
-                        residual0,
-                        reductions,
-                        history,
-                        exec,
-                    }
-                }
-                None => {
-                    if total_iters >= self.config.max_iters {
-                        return GmresResult {
-                            outcome: GmresOutcome::MaxIterations,
-                            iterations: total_iters,
-                            residual: res,
-                            residual0,
-                            reductions,
-                            history,
-                            exec,
-                        };
-                    }
-                    // restart
-                }
-            }
-        }
+        drive(&self.config, &mut self.h, step, exec)
     }
 
-    /// Persistent-SPMD path: one pool region per Arnoldi iteration (plus
-    /// one at cycle start and one for the solution update per restart
-    /// cycle), barrier phases inside. Operators that are not
-    /// `team_capable` are applied by the main thread *between* regions
-    /// (hybrid mode — matrix-free operators launch their own regions).
-    ///
-    /// Scalar recurrences (Givens rotations, Hessenberg bookkeeping,
-    /// convergence control) stay on the main thread between regions;
-    /// regions hand back the reduced scalars through a mailbox buffer.
+    /// Persistent-SPMD solve (see `TeamStep`).
     fn solve_team(
         &mut self,
         a: &dyn LinearOperator,
@@ -458,283 +273,163 @@ impl Gmres {
         x: &mut [f64],
         pool: &ThreadPool,
     ) -> GmresResult {
-        let n = b.len();
-        assert_eq!(a.dim(), n);
-        assert_eq!(x.len(), n);
+        check_dims(a, b, x);
         let restart = self.config.restart;
-        let nt = pool.size();
-        let team = Team::new(nt, restart + 2);
-        let hybrid = !a.team_capable();
-        let single = self.config.single_reduction;
-        let (atol, rtol) = (self.config.atol, self.config.rtol);
+        let step = TeamStep {
+            pool,
+            team: Team::new(pool.size(), restart + 2),
+            hybrid: !a.team_capable(),
+            a: AssertTeamSafe(a),
+            m: AssertTeamSafe(m),
+            single: self.config.single_reduction,
+            // Borrow-erased views shared with the region closures. From
+            // here on, these buffers are touched only through the views:
+            // by the team inside regions, by the main thread between them.
+            x: TeamSlice::new(x),
+            b: TeamSlice::from_raw(b.as_ptr() as *mut f64, b.len()),
+            work: TeamSlice::new(&mut self.work),
+            work2: TeamSlice::new(&mut self.work2),
+            basis: self.basis.iter_mut().map(|v| TeamSlice::new(v)).collect(),
+            mailbox: vec![0.0; restart + 3],
+        };
+        drive(&self.config, &mut self.h, step, "team")
+    }
+}
 
-        // Borrow-erased views shared with the region closures. From here
-        // on, these buffers are touched only through the views: by the
-        // team inside regions, by the main thread between them.
-        let x_s = TeamSlice::new(x);
-        let b_s = TeamSlice::from_raw(b.as_ptr() as *mut f64, n);
-        let work_s = TeamSlice::new(&mut self.work);
-        let work2_s = TeamSlice::new(&mut self.work2);
-        let basis_s: Vec<TeamSlice> = self.basis.iter_mut().map(|v| TeamSlice::new(v)).collect();
-        // Region → main-thread mailbox: beta / Gram-Schmidt coefficients
-        // in [0..restart+1), h_{k+1,k} at [restart+1], extra-reduction
-        // flag at [restart+2]. Leader-written, read between regions.
-        let mut cell = vec![0.0f64; restart + 3];
-        let cell_s = TeamSlice::new(&mut cell);
+fn check_dims(a: &dyn LinearOperator, b: &[f64], x: &[f64]) {
+    let n = b.len();
+    assert_eq!(a.dim(), n);
+    assert_eq!(x.len(), n);
+}
 
-        let a_sync = AssertTeamSafe(a);
-        let m_sync = AssertTeamSafe(m);
+/// The executor-specific vector work of one solve; [`drive`] does the
+/// rest. Every method runs its reductions to completion and returns
+/// globally agreed scalars.
+trait Step {
+    /// `r = M⁻¹(b − A x)`; returns `β = ‖r‖` (one reduction) and, unless
+    /// `stop(β)`, sets `v₀ = r/β`.
+    fn cycle_start(&mut self, stop: impl Fn(f64) -> bool + Sync) -> f64;
 
-        let exec = "team";
-        let mut total_iters = 0usize;
-        let mut reductions = 0usize;
-        let mut residual0 = f64::NAN;
-        let mut history = Vec::new();
+    /// `w = M⁻¹ A v_k`, orthogonalized against `v₀..=v_k` by classical
+    /// Gram-Schmidt. Writes the coefficients to `col[..=k]` and `‖w⊥‖` to
+    /// `col[k + 1]`, sets `v_{k+1} = w⊥/‖w⊥‖` unless `‖w⊥‖ ≤ breakdown`,
+    /// and returns the reductions it performed.
+    fn arnoldi(&mut self, k: usize, breakdown: f64, col: &mut [f64]) -> usize;
 
-        loop {
-            // Cycle start: r = M^{-1}(b - A x), beta, v1 — one region.
-            if hybrid {
-                // SAFETY: no region is active; main thread owns the views.
-                unsafe {
-                    let xs = x_s.slice(0..n);
-                    let ws = work_s.slice_mut(0..n);
-                    a.apply(xs, ws);
-                }
+    /// `x += V y` over the first `y.len()` basis vectors.
+    fn update(&mut self, y: &[f64]);
+}
+
+/// Restarted GMRES(m) over any [`Step`]: restart control, Givens least
+/// squares, back-substitution and the stopping rules.
+fn drive(
+    config: &GmresConfig,
+    h: &mut [f64],
+    mut step: impl Step,
+    exec: &'static str,
+) -> GmresResult {
+    let restart = config.restart;
+    let (atol, rtol) = (config.atol, config.rtol);
+    let converged = |res: f64, res0: f64| {
+        if res <= atol {
+            Some(GmresOutcome::ConvergedAtol)
+        } else if res <= rtol * res0 {
+            Some(GmresOutcome::ConvergedRtol)
+        } else {
+            None
+        }
+    };
+    let mut out = GmresResult {
+        outcome: GmresOutcome::MaxIterations,
+        iterations: 0,
+        residual: f64::NAN,
+        residual0: f64::NAN,
+        reductions: 0,
+        history: Vec::new(),
+        exec,
+    };
+
+    loop {
+        // Cycle start: r = M⁻¹(b − A x), β = ‖r‖, v₀ = r/β.
+        let r0 = out.residual0;
+        let beta =
+            step.cycle_start(|beta| converged(beta, if r0.is_nan() { beta } else { r0 }).is_some());
+        out.reductions += 1;
+        if out.residual0.is_nan() {
+            out.residual0 = beta;
+        }
+        out.residual = beta;
+        if let Some(outcome) = converged(beta, out.residual0) {
+            out.outcome = outcome;
+            return out;
+        }
+        let mut g = vec![0.0; restart + 1];
+        g[0] = beta;
+        let mut cs = vec![0.0; restart];
+        let mut sn = vec![0.0; restart];
+        let mut k_done = 0usize;
+        let mut finished: Option<GmresOutcome> = None;
+
+        for k in 0..restart {
+            if out.iterations >= config.max_iters {
+                finished = Some(GmresOutcome::MaxIterations);
+                break;
             }
-            let r0_in = residual0;
-            pool.run(|tid| {
-                // SAFETY: one member per tid per region.
-                let tm = unsafe { team.member(tid) };
-                if !hybrid {
-                    // SAFETY: trait contract — team_capable() holds.
-                    unsafe { a_sync.get().apply_team(&tm, x_s, work_s) };
-                    tm.barrier();
-                }
-                team_ops::bsub(&tm, work_s, b_s);
-                tm.barrier();
-                // SAFETY: r (work) published by the barrier above.
-                unsafe { m_sync.get().apply_team(&tm, work_s, work2_s) };
-                let beta = team_ops::norm2(&tm, work2_s);
-                if tid == 0 {
-                    // SAFETY: leader-only write, read after the region.
-                    unsafe { cell_s.set(0, beta) };
-                }
-                // Every thread holds identical beta (deterministic tree
-                // reduce), so the convergence branch is uniform; the
-                // main thread re-derives the same decision below.
-                let r0v = if r0_in.is_nan() { beta } else { r0_in };
-                if !(beta <= atol || beta <= rtol * r0v) {
-                    team_ops::div_into(&tm, basis_s[0], work2_s, beta);
-                }
-            });
-            let beta = cell[0];
-            reductions += 1;
-            if residual0.is_nan() {
-                residual0 = beta;
+            out.iterations += 1;
+            let col = &mut h[k * (restart + 1)..(k + 1) * (restart + 1)];
+            let breakdown = 1e-14 * out.residual.max(1.0);
+            out.reductions += step.arnoldi(k, breakdown, col);
+            k_done = k + 1;
+            if col[k + 1] <= breakdown {
+                finished = Some(GmresOutcome::Breakdown);
             }
-            if beta <= atol {
-                return GmresResult {
-                    outcome: GmresOutcome::ConvergedAtol,
-                    iterations: total_iters,
-                    residual: beta,
-                    residual0,
-                    reductions,
-                    history,
-                    exec,
-                };
+            // apply existing Givens rotations to column k
+            for i in 0..k {
+                let t = cs[i] * col[i] + sn[i] * col[i + 1];
+                col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1];
+                col[i] = t;
             }
-            if beta <= rtol * residual0 {
-                return GmresResult {
-                    outcome: GmresOutcome::ConvergedRtol,
-                    iterations: total_iters,
-                    residual: beta,
-                    residual0,
-                    reductions,
-                    history,
-                    exec,
-                };
-            }
-            let mut g = vec![0.0; restart + 1];
-            g[0] = beta;
-            let mut cs = vec![0.0; restart];
-            let mut sn = vec![0.0; restart];
-            let mut k_done = 0usize;
-            let mut finished: Option<GmresOutcome> = None;
-            let mut res = beta;
+            // new rotation to kill col[k+1]
+            let (c, s) = givens(col[k], col[k + 1]);
+            cs[k] = c;
+            sn[k] = s;
+            col[k] = c * col[k] + s * col[k + 1];
+            col[k + 1] = 0.0;
+            let t = c * g[k] + s * g[k + 1];
+            g[k + 1] = -s * g[k] + c * g[k + 1];
+            g[k] = t;
+            out.residual = g[k + 1].abs();
+            out.history.push(out.residual);
 
-            for k in 0..restart {
-                if total_iters >= self.config.max_iters {
-                    finished = Some(GmresOutcome::MaxIterations);
-                    break;
-                }
-                total_iters += 1;
-                if hybrid {
-                    // SAFETY: no region active.
-                    unsafe {
-                        let vk = basis_s[k].slice(0..n);
-                        let ws = work_s.slice_mut(0..n);
-                        a.apply(vk, ws);
-                    }
-                }
-                // One region: w = M⁻¹ A v_k, CGS orthogonalization, new
-                // basis vector. Reduced scalars are identical on every
-                // thread, so all branches are uniform across the team.
-                let res_in = res;
-                let basis_prefix = &basis_s[..=k];
-                let basis_next = basis_s[k + 1];
-                pool.run(|tid| {
-                    let tm = unsafe { team.member(tid) };
-                    if !hybrid {
-                        // SAFETY: v_k published at the previous region's
-                        // close; trait contract for concurrency.
-                        unsafe { a_sync.get().apply_team(&tm, basis_prefix[k], work_s) };
-                        tm.barrier();
-                    }
-                    // SAFETY: work published (barrier above or region
-                    // entry in hybrid mode).
-                    unsafe { m_sync.get().apply_team(&tm, work_s, work2_s) };
-                    let (hkk, extra) = if single {
-                        let mut list: Vec<TeamSlice> = basis_prefix.to_vec();
-                        list.push(work2_s);
-                        let mut out = vec![0.0; k + 2];
-                        team_ops::mdot(&tm, work2_s, &list, &mut out);
-                        let ww = out[k + 1];
-                        let coeffs = &out[..k + 1];
-                        let neg: Vec<f64> = coeffs.iter().map(|c| -c).collect();
-                        team_ops::maxpy(&tm, work2_s, &neg, basis_prefix);
-                        if tid == 0 {
-                            // SAFETY: leader-only mailbox write.
-                            unsafe {
-                                for (i, c) in coeffs.iter().enumerate() {
-                                    cell_s.set(i, *c);
-                                }
-                            }
-                        }
-                        let h2: f64 = coeffs.iter().map(|c| c * c).sum();
-                        let mut hkk2 = ww - h2;
-                        let mut extra = 0.0;
-                        if hkk2 < 1e-2 * ww {
-                            hkk2 = team_ops::dot(&tm, work2_s, work2_s);
-                            extra = 1.0;
-                        }
-                        (hkk2.max(0.0).sqrt(), extra)
-                    } else {
-                        let mut coeffs = vec![0.0; k + 1];
-                        team_ops::mdot(&tm, work2_s, basis_prefix, &mut coeffs);
-                        let neg: Vec<f64> = coeffs.iter().map(|c| -c).collect();
-                        team_ops::maxpy(&tm, work2_s, &neg, basis_prefix);
-                        let hkk = team_ops::norm2(&tm, work2_s);
-                        if tid == 0 {
-                            // SAFETY: leader-only mailbox write.
-                            unsafe {
-                                for (i, c) in coeffs.iter().enumerate() {
-                                    cell_s.set(i, *c);
-                                }
-                            }
-                        }
-                        (hkk, 0.0)
-                    };
-                    if tid == 0 {
-                        // SAFETY: leader-only mailbox write.
-                        unsafe {
-                            cell_s.set(restart + 1, hkk);
-                            cell_s.set(restart + 2, extra);
-                        }
-                    }
-                    if !(hkk <= 1e-14 * res_in.max(1.0)) {
-                        team_ops::div_into(&tm, basis_next, work2_s, hkk);
-                    }
-                });
-                reductions += 1;
-                if single {
-                    reductions += cell[restart + 2] as usize;
-                } else {
-                    reductions += 1;
-                }
-                for i in 0..=k {
-                    self.h[k * (restart + 1) + i] = cell[i];
-                }
-                let hkk = cell[restart + 1];
-                self.h[k * (restart + 1) + k + 1] = hkk;
-                k_done = k + 1;
-                if hkk <= 1e-14 * res.max(1.0) {
-                    finished = Some(GmresOutcome::Breakdown);
-                }
-                // apply existing Givens rotations to column k
-                let col = &mut self.h[k * (restart + 1)..(k + 1) * (restart + 1)];
-                for i in 0..k {
-                    let t = cs[i] * col[i] + sn[i] * col[i + 1];
-                    col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1];
-                    col[i] = t;
-                }
-                let (c, s) = givens(col[k], col[k + 1]);
-                cs[k] = c;
-                sn[k] = s;
-                col[k] = c * col[k] + s * col[k + 1];
-                col[k + 1] = 0.0;
-                let t = c * g[k] + s * g[k + 1];
-                g[k + 1] = -s * g[k] + c * g[k + 1];
-                g[k] = t;
-                res = g[k + 1].abs();
-                history.push(res);
-
-                if res <= atol {
-                    finished = Some(GmresOutcome::ConvergedAtol);
-                } else if res <= rtol * residual0 {
-                    finished = Some(GmresOutcome::ConvergedRtol);
-                }
-                if finished.is_some() {
-                    break;
-                }
+            if let Some(outcome) = converged(out.residual, out.residual0) {
+                finished = Some(outcome);
             }
-
-            // back-substitution on the main thread
-            let kk = k_done;
-            let mut y = vec![0.0; kk];
-            for i in (0..kk).rev() {
-                let mut acc = g[i];
-                for j in i + 1..kk {
-                    acc -= self.h[j * (restart + 1) + i] * y[j];
-                }
-                y[i] = acc / self.h[i * (restart + 1) + i];
-            }
-            // x += V y — one region.
-            if kk > 0 {
-                let basis_used = &basis_s[..kk];
-                pool.run(|tid| {
-                    let tm = unsafe { team.member(tid) };
-                    team_ops::maxpy(&tm, x_s, &y, basis_used);
-                });
-            }
-
-            match finished {
-                Some(outcome) => {
-                    return GmresResult {
-                        outcome,
-                        iterations: total_iters,
-                        residual: res,
-                        residual0,
-                        reductions,
-                        history,
-                        exec,
-                    }
-                }
-                None => {
-                    if total_iters >= self.config.max_iters {
-                        return GmresResult {
-                            outcome: GmresOutcome::MaxIterations,
-                            iterations: total_iters,
-                            residual: res,
-                            residual0,
-                            reductions,
-                            history,
-                            exec,
-                        };
-                    }
-                    // restart
-                }
+            if finished.is_some() {
+                break;
             }
         }
+
+        // back-substitute y from the triangularized Hessenberg
+        let kk = k_done;
+        let mut y = vec![0.0; kk];
+        for i in (0..kk).rev() {
+            let mut acc = g[i];
+            for j in i + 1..kk {
+                acc -= h[j * (restart + 1) + i] * y[j];
+            }
+            y[i] = acc / h[i * (restart + 1) + i];
+        }
+        step.update(&y);
+
+        if let Some(outcome) = finished {
+            out.outcome = outcome;
+            return out;
+        }
+        if out.iterations >= config.max_iters {
+            out.outcome = GmresOutcome::MaxIterations;
+            return out;
+        }
+        // restart
     }
 }
 
@@ -744,6 +439,299 @@ fn givens(a: f64, b: f64) -> (f64, f64) {
     } else {
         let r = (a * a + b * b).sqrt();
         (a / r, b / r)
+    }
+}
+
+/// Vector ops dispatched per call: serial (`None`) or one pool region
+/// per op.
+#[derive(Clone, Copy)]
+struct Ops<'p>(Option<&'p ThreadPool>);
+
+impl Ops<'_> {
+    fn apply(self, a: &dyn LinearOperator, x: &[f64], y: &mut [f64]) {
+        match self.0 {
+            None => a.apply(x, y),
+            Some(p) => a.apply_parallel(p, x, y),
+        }
+    }
+
+    fn bsub(self, w: &mut [f64], b: &[f64]) {
+        match self.0 {
+            None => vecops::bsub(w, b),
+            Some(p) => vecops::par::bsub(p, w, b),
+        }
+    }
+
+    fn dot(self, x: &[f64], y: &[f64]) -> f64 {
+        match self.0 {
+            None => vecops::dot(x, y),
+            Some(p) => vecops::par::dot(p, x, y),
+        }
+    }
+
+    fn mdot(self, x: &[f64], ys: &[&[f64]], out: &mut [f64]) {
+        match self.0 {
+            None => vecops::mdot(x, ys, out),
+            Some(p) => vecops::par::mdot(p, x, ys, out),
+        }
+    }
+
+    fn maxpy(self, y: &mut [f64], alpha: &[f64], xs: &[&[f64]]) {
+        match self.0 {
+            None => vecops::maxpy(y, alpha, xs),
+            Some(p) => vecops::par::maxpy(p, y, alpha, xs),
+        }
+    }
+
+    fn div_into(self, dst: &mut [f64], src: &[f64], s: f64) {
+        match self.0 {
+            None => vecops::div_into(dst, src, s),
+            Some(p) => vecops::par::div_into(p, dst, src, s),
+        }
+    }
+}
+
+/// Serial and region-per-op step: each op dispatched per call site, each
+/// inner product a local partial made global by `sum`.
+struct SeqStep<'a> {
+    a: &'a dyn LinearOperator,
+    m: &'a dyn Preconditioner,
+    b: &'a [f64],
+    x: &'a mut [f64],
+    basis: &'a mut [Vec<f64>],
+    work: &'a mut [f64],
+    work2: &'a mut [f64],
+    ops: Ops<'a>,
+    sum: &'a dyn GlobalSum,
+    single: bool,
+}
+
+impl SeqStep<'_> {
+    /// Global `<x, y>`: one reduction.
+    fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
+        let mut s = [self.ops.dot(x, y)];
+        self.sum.global_sum(&mut s);
+        s[0]
+    }
+}
+
+impl Step for SeqStep<'_> {
+    fn cycle_start(&mut self, stop: impl Fn(f64) -> bool + Sync) -> f64 {
+        let ops = self.ops;
+        ops.apply(self.a, self.x, self.work);
+        ops.bsub(self.work, self.b);
+        self.m.apply(self.work, self.work2);
+        let beta = self.dot(self.work2, self.work2).sqrt();
+        if !stop(beta) {
+            ops.div_into(&mut self.basis[0], self.work2, beta);
+        }
+        beta
+    }
+
+    fn arnoldi(&mut self, k: usize, breakdown: f64, col: &mut [f64]) -> usize {
+        let ops = self.ops;
+        // w = M^{-1} A v_k
+        ops.apply(self.a, &self.basis[k], self.work);
+        self.m.apply(self.work, self.work2);
+        // classical Gram-Schmidt: h[0..=k] = V^T w, w -= V h. In
+        // single-reduction mode, <w,w> joins the same fused mdot and the
+        // new norm comes from Pythagoras.
+        let refs: Vec<&[f64]> = self.basis[..=k].iter().map(|v| v.as_slice()).collect();
+        let (hkk, reductions) = if self.single {
+            let mut fused = refs.clone();
+            fused.push(self.work2);
+            let mut out = vec![0.0; k + 2];
+            ops.mdot(self.work2, &fused, &mut out);
+            self.sum.global_sum(&mut out);
+            let ww = out.pop().unwrap();
+            let neg: Vec<f64> = out.iter().map(|c| -c).collect();
+            ops.maxpy(self.work2, &neg, &refs);
+            col[..=k].copy_from_slice(&out);
+            let h2: f64 = out.iter().map(|c| c * c).sum();
+            // Pythagoras holds only as far as the basis is orthonormal;
+            // one-pass CGS loses orthogonality exactly when the update
+            // cancels strongly, so fall back to a direct norm whenever
+            // less than 1% of ‖w‖² survives (one extra reduction on those
+            // iterations — still fewer on net).
+            let hkk2 = ww - h2;
+            if hkk2 < 1e-2 * ww {
+                (self.dot(self.work2, self.work2).max(0.0).sqrt(), 2)
+            } else {
+                (hkk2.max(0.0).sqrt(), 1)
+            }
+        } else {
+            let coeffs = &mut col[..=k];
+            ops.mdot(self.work2, &refs, coeffs);
+            self.sum.global_sum(coeffs);
+            let neg: Vec<f64> = coeffs.iter().map(|c| -c).collect();
+            ops.maxpy(self.work2, &neg, &refs);
+            (self.dot(self.work2, self.work2).sqrt(), 2)
+        };
+        col[k + 1] = hkk;
+        // NaN is not a breakdown: `drive`'s test fails for it too.
+        if hkk > breakdown || hkk.is_nan() {
+            ops.div_into(&mut self.basis[k + 1], self.work2, hkk);
+        }
+        reductions
+    }
+
+    fn update(&mut self, y: &[f64]) {
+        let refs: Vec<&[f64]> = self.basis[..y.len()].iter().map(|v| v.as_slice()).collect();
+        self.ops.maxpy(self.x, y, &refs);
+    }
+}
+
+/// Persistent-SPMD step: one pool region per call (cycle start, each
+/// Arnoldi iteration, solution update), barrier phases inside. Operators
+/// that are not `team_capable` are applied by the main thread *before*
+/// the region (hybrid mode — matrix-free operators launch their own
+/// regions).
+///
+/// The scalar recurrences stay on the main thread in [`drive`]; regions
+/// hand back the reduced scalars through `mailbox`.
+struct TeamStep<'a> {
+    pool: &'a ThreadPool,
+    team: Team,
+    hybrid: bool,
+    a: AssertTeamSafe<'a, dyn LinearOperator + 'a>,
+    m: AssertTeamSafe<'a, dyn Preconditioner + 'a>,
+    single: bool,
+    x: TeamSlice,
+    b: TeamSlice,
+    work: TeamSlice,
+    work2: TeamSlice,
+    basis: Vec<TeamSlice>,
+    /// Region → main-thread mailbox, leader-written and read between
+    /// regions: β at [0] after a cycle start; after Arnoldi step `k`, the
+    /// coefficients at [0..=k], `‖w⊥‖` at [k+1] and the extra-reduction
+    /// flag at [k+2].
+    mailbox: Vec<f64>,
+}
+
+impl Step for TeamStep<'_> {
+    fn cycle_start(&mut self, stop: impl Fn(f64) -> bool + Sync) -> f64 {
+        let (x, b, work, work2, v0) = (self.x, self.b, self.work, self.work2, self.basis[0]);
+        let hybrid = self.hybrid;
+        if hybrid {
+            // SAFETY: no region is active; main thread owns the views.
+            unsafe {
+                self.a
+                    .get()
+                    .apply(x.slice(0..x.len()), work.slice_mut(0..work.len()))
+            };
+        }
+        let (a, m, team) = (&self.a, &self.m, &self.team);
+        let mailbox = TeamSlice::new(&mut self.mailbox);
+        self.pool.run(|tid| {
+            // SAFETY: one member per tid per region.
+            let tm = unsafe { team.member(tid) };
+            if !hybrid {
+                // SAFETY: trait contract — team_capable() holds.
+                unsafe { a.get().apply_team(&tm, x, work) };
+                tm.barrier();
+            }
+            team_ops::bsub(&tm, work, b);
+            tm.barrier();
+            // SAFETY: r (work) published by the barrier above.
+            unsafe { m.get().apply_team(&tm, work, work2) };
+            let beta = team_ops::norm2(&tm, work2);
+            if tid == 0 {
+                // SAFETY: leader-only write, read after the region.
+                unsafe { mailbox.set(0, beta) };
+            }
+            // Every thread holds identical beta (deterministic tree
+            // reduce), so the branch is uniform across the team.
+            if !stop(beta) {
+                team_ops::div_into(&tm, v0, work2, beta);
+            }
+        });
+        self.mailbox[0]
+    }
+
+    fn arnoldi(&mut self, k: usize, breakdown: f64, col: &mut [f64]) -> usize {
+        let (work, work2, single, hybrid) = (self.work, self.work2, self.single, self.hybrid);
+        if hybrid {
+            // SAFETY: no region active.
+            unsafe {
+                let vk = self.basis[k];
+                self.a
+                    .get()
+                    .apply(vk.slice(0..vk.len()), work.slice_mut(0..work.len()));
+            }
+        }
+        let (a, m, team) = (&self.a, &self.m, &self.team);
+        let prefix = &self.basis[..=k];
+        let next = self.basis[k + 1];
+        let mailbox = TeamSlice::new(&mut self.mailbox);
+        // One region: w = M⁻¹ A v_k, CGS orthogonalization, new basis
+        // vector. Reduced scalars are identical on every thread, so all
+        // branches are uniform across the team.
+        self.pool.run(|tid| {
+            // SAFETY: one member per tid per region.
+            let tm = unsafe { team.member(tid) };
+            if !hybrid {
+                // SAFETY: v_k published at the previous region's close;
+                // trait contract for concurrency.
+                unsafe { a.get().apply_team(&tm, prefix[k], work) };
+                tm.barrier();
+            }
+            // SAFETY: work published (barrier above or region entry in
+            // hybrid mode).
+            unsafe { m.get().apply_team(&tm, work, work2) };
+            let mut out = vec![0.0; k + 2];
+            let (hkk, extra) = if single {
+                let mut list: Vec<TeamSlice> = prefix.to_vec();
+                list.push(work2);
+                team_ops::mdot(&tm, work2, &list, &mut out);
+                let ww = out[k + 1];
+                let coeffs = &out[..=k];
+                let neg: Vec<f64> = coeffs.iter().map(|c| -c).collect();
+                team_ops::maxpy(&tm, work2, &neg, prefix);
+                let h2: f64 = coeffs.iter().map(|c| c * c).sum();
+                let hkk2 = ww - h2;
+                if hkk2 < 1e-2 * ww {
+                    (team_ops::dot(&tm, work2, work2).max(0.0).sqrt(), 1.0)
+                } else {
+                    (hkk2.max(0.0).sqrt(), 0.0)
+                }
+            } else {
+                team_ops::mdot(&tm, work2, prefix, &mut out[..=k]);
+                let neg: Vec<f64> = out[..=k].iter().map(|c| -c).collect();
+                team_ops::maxpy(&tm, work2, &neg, prefix);
+                (team_ops::norm2(&tm, work2), 0.0)
+            };
+            if tid == 0 {
+                // SAFETY: leader-only mailbox writes, read after the region.
+                unsafe {
+                    for (i, c) in out[..=k].iter().enumerate() {
+                        mailbox.set(i, *c);
+                    }
+                    mailbox.set(k + 1, hkk);
+                    mailbox.set(k + 2, extra);
+                }
+            }
+            if hkk > breakdown || hkk.is_nan() {
+                team_ops::div_into(&tm, next, work2, hkk);
+            }
+        });
+        col[..k + 2].copy_from_slice(&self.mailbox[..k + 2]);
+        if single {
+            1 + self.mailbox[k + 2] as usize
+        } else {
+            2
+        }
+    }
+
+    fn update(&mut self, y: &[f64]) {
+        if y.is_empty() {
+            return;
+        }
+        let (team, x, used) = (&self.team, self.x, &self.basis[..y.len()]);
+        self.pool.run(|tid| {
+            // SAFETY: one member per tid per region.
+            let tm = unsafe { team.member(tid) };
+            team_ops::maxpy(&tm, x, y, used);
+        });
     }
 }
 

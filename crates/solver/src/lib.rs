@@ -18,7 +18,9 @@
 //!   and P2P-synchronized application;
 //! * [`gmres`] — left-preconditioned GMRES(m) with classical Gram-Schmidt
 //!   (PETSc's default KSP for this code) and Givens least squares, in
-//!   serial, region-per-op, and persistent-SPMD-region execution modes;
+//!   serial, region-per-op, and persistent-SPMD-region execution modes,
+//!   and on the ranks of a distributed solve through a [`GlobalSum`]
+//!   hook;
 //! * [`team`] — the in-region vector primitives those persistent regions
 //!   are built from (barrier phases + tree reductions, no fork-join);
 //! * [`ptc`] — pseudo-transient continuation with switched evolution
@@ -41,4 +43,5 @@ pub use gmres::{Gmres, GmresConfig, GmresExec, GmresOutcome, GmresResult};
 pub use op::{FdJacobian, LinearOperator, ShiftedOperator};
 pub use policy::{AutoPolicy, Decision, ExecMode, FluxScheme};
 pub use precond::{BlockJacobiIlu, IdentityPrecond, IluApply, Preconditioner, SerialIlu};
+pub use vecops::{GlobalSum, LocalSum};
 pub use ptc::{PtcConfig, PtcProblem, PtcStats};

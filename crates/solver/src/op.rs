@@ -1,5 +1,6 @@
 //! Linear operators for the Krylov solver.
 
+use crate::vecops::{global_norm2, GlobalSum, LocalSum};
 use fun3d_sparse::Bcsr4;
 use fun3d_threads::{TeamMember, TeamSlice, ThreadPool};
 
@@ -72,6 +73,10 @@ impl LinearOperator for Bcsr4 {
 ///
 /// An optional per-unknown diagonal shift models the pseudo-transient
 /// term `V/Δt`, so the operator applied is `diag(shift) + ∂F/∂u`.
+///
+/// On a rank of a distributed solve, `u`, `v` and `F` cover the owned
+/// entries and [`FdJacobian::with_sum`] makes both norms global, so every
+/// rank takes the same step `ε`.
 pub struct FdJacobian<'a, F: Fn(&[f64], &mut [f64])> {
     residual: F,
     /// Base state `u`.
@@ -81,6 +86,8 @@ pub struct FdJacobian<'a, F: Fn(&[f64], &mut [f64])> {
     /// Pseudo-time diagonal (`V_i/Δt` per unknown), empty for none.
     shift: &'a [f64],
     unorm: f64,
+    /// Sums the partial norms over ranks.
+    sum: &'a dyn GlobalSum,
     /// Scratch for the perturbed state and residual.
     scratch: std::cell::RefCell<(Vec<f64>, Vec<f64>)>,
 }
@@ -98,8 +105,16 @@ impl<'a, F: Fn(&[f64], &mut [f64])> FdJacobian<'a, F> {
             r0,
             shift,
             unorm,
+            sum: &LocalSum,
             scratch: std::cell::RefCell::new((vec![0.0; n], vec![0.0; n])),
         }
+    }
+
+    /// Takes `‖u‖` and `‖v‖` over all ranks through `sum`.
+    pub fn with_sum(mut self, sum: &'a dyn GlobalSum) -> Self {
+        self.unorm = global_norm2(sum, self.u);
+        self.sum = sum;
+        self
     }
 
     /// Number of residual evaluations performed so far is not tracked
@@ -119,7 +134,7 @@ impl<F: Fn(&[f64], &mut [f64])> LinearOperator for FdJacobian<'_, F> {
         let n = self.u.len();
         assert_eq!(v.len(), n);
         assert_eq!(y.len(), n);
-        let vnorm = crate::vecops::norm2(v);
+        let vnorm = global_norm2(self.sum, v);
         if vnorm == 0.0 {
             y.iter_mut().for_each(|x| *x = 0.0);
             return;

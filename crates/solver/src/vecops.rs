@@ -9,6 +9,27 @@
 
 use fun3d_threads::ThreadPool;
 
+/// Makes rank-local partial inner products global: the `MPI_Allreduce`
+/// behind every distributed dot product and norm.
+pub trait GlobalSum {
+    /// Replaces each entry of `partial` by its sum over all ranks.
+    fn global_sum(&self, partial: &mut [f64]);
+}
+
+/// One address space: a local partial already is the global value.
+pub struct LocalSum;
+
+impl GlobalSum for LocalSum {
+    fn global_sum(&self, _partial: &mut [f64]) {}
+}
+
+/// Global 2-norm of a rank's owned entries: one reduction.
+pub fn global_norm2(sum: &dyn GlobalSum, x: &[f64]) -> f64 {
+    let mut s = [dot(x, x)];
+    sum.global_sum(&mut s);
+    s[0].sqrt()
+}
+
 /// `w = a*x + y` (PETSc `VecWAXPY`).
 pub fn waxpy(w: &mut [f64], a: f64, x: &[f64], y: &[f64]) {
     assert!(w.len() == x.len() && x.len() == y.len());

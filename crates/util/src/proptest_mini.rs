@@ -225,6 +225,10 @@ where
     loop {
         let mut improved = false;
         for lane in 0..current.draws.len() {
+            // A kept candidate may come from a run that drew fewer values.
+            if lane >= current.draws.len() {
+                break;
+            }
             for candidate in current.draws[lane].shrink_candidates() {
                 if budget == 0 {
                     return current;

@@ -612,6 +612,9 @@ mod tests {
         /// Splitting a record stream across real threads and merging the
         /// per-thread profiles yields exactly the serial profile.
         fn merged_thread_profiles_equal_serial(g, cases = 24) {
+            // An Off-mode test flipping the global level mid-case would
+            // drop records on some threads.
+            let _g = LEVEL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
             const NAMES: [&str; 4] = ["flux", "gradient", "ilu", "trsv"];
             let nrec = g.usize_range(1, 40);
             let recs: Vec<(&'static str, KernelCounts)> = (0..nrec)

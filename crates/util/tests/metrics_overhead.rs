@@ -16,7 +16,7 @@
 use fun3d_util::microbench::{Bench, SampleConfig};
 use fun3d_util::telemetry::metrics;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -24,15 +24,19 @@ use std::time::Duration;
 /// the parallel test runner cannot interleave the flips.
 static GATE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Counts every heap allocation in the process so the "zero-alloc when
-/// disabled" claim is exact rather than inferred from timing.
+/// Counts each thread's heap allocations so the "zero-alloc when
+/// disabled" claim is exact rather than inferred from timing. Per
+/// thread, because the test harness's own thread allocates while it
+/// reports the other test finishing.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -122,14 +126,14 @@ fn disabled_record_is_one_relaxed_load_and_zero_alloc() {
     let warm = h.snapshot("probe").count;
 
     metrics::set_enabled(false);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     for i in 0..10_000u64 {
         h.record(i);
         c.incr();
         g.set(i);
         metrics::record_ns("metrics_overhead.disabled_named_ns", i);
     }
-    let grew = ALLOCS.load(Ordering::Relaxed) - before;
+    let grew = ALLOCS.with(Cell::get) - before;
     metrics::set_enabled(true);
 
     assert_eq!(grew, 0, "disabled record path allocated {grew} times");

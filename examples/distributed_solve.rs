@@ -1,14 +1,16 @@
-//! Distributed solve demo: domain decomposition + in-process "MPI" ranks
-//! + block-Jacobi ILU GMRES, with the Schwarz convergence degradation
-//! the paper discusses made visible.
+//! Distributed solve demo: domain decomposition, in-process "MPI" ranks
+//! and block-Jacobi ILU GMRES (the solver crate's GMRES, its inner
+//! products allreduced through the rank's `Comm`), with the Schwarz
+//! convergence degradation the paper discusses made visible.
 //!
 //! ```sh
 //! cargo run --release --example distributed_solve
 //! ```
 
-use fun3d_cluster::dsolve::{gmres, DistSystem};
+use fun3d_cluster::dsolve::DistSystem;
 use fun3d_cluster::{Decomposition, Universe};
 use fun3d_mesh::generator::MeshPreset;
+use fun3d_solver::{Gmres, GmresConfig};
 use fun3d_sparse::Bcsr4;
 
 fn main() {
@@ -34,7 +36,7 @@ fn main() {
         let results = Universe::run(nranks, move |comm| {
             let sub = subs[comm.rank()].clone();
             let halo = sub.halo_doubles();
-            let sys = DistSystem::new(a_ref, sub, 0);
+            let sys = DistSystem::new(&comm, a_ref, sub, 0);
             let blocal: Vec<f64> = sys
                 .sub
                 .owned
@@ -42,7 +44,19 @@ fn main() {
                 .flat_map(|&g| b_ref[g as usize * 4..g as usize * 4 + 4].to_vec())
                 .collect();
             let mut x = vec![0.0; sys.nowned()];
-            let res = gmres(&comm, &sys, &blocal, &mut x, 30, 1e-10, 1000);
+            let cfg = GmresConfig {
+                restart: 30,
+                rtol: 1e-10,
+                max_iters: 1000,
+                ..Default::default()
+            };
+            let res = Gmres::new(sys.nowned(), cfg).solve_global(
+                &sys,
+                &sys.precond,
+                &blocal,
+                &mut x,
+                &comm,
+            );
             (sys.sub.owned.clone(), x, res.iterations, halo)
         });
 

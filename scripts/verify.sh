@@ -6,7 +6,8 @@
 #    root's path-only [workspace.dependencies]). Any version/git/registry
 #    dependency would break the offline build, so it fails the guard
 #    before cargo even runs.
-# 2. Build + test with `--offline` and an empty-registry assumption.
+# 2. Build + test every workspace crate with `--offline` and an
+#    empty-registry assumption; print the test count of each binary.
 # 3. Model-check the sync substrate: the fun3d-check suite plus the
 #    protocol models compiled under `--cfg fun3d_check`, under a fixed
 #    schedule budget; any data race / deadlock / livelock fails. The
@@ -41,8 +42,31 @@ echo "ok: all dependencies are workspace-path crates"
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
-echo "== cargo test -q --offline =="
-cargo test -q --offline
+echo "== cargo test --offline --workspace =="
+# Every crate's suite, not just the root package's. Cargo's own --quiet
+# would hide the "Running <binary>" lines the count table below needs,
+# so only the test harness runs quiet.
+mkdir -p target
+test_log=target/verify-tests.log
+cargo test --offline --workspace -- --quiet 2>&1 | tee "$test_log"
+
+echo "== per-binary test counts (a dropped suite shows up here) =="
+awk '
+    /^ *Running / {
+        bin = $NF; gsub(/[()]/, "", bin); sub(/.*\//, "", bin); sub(/-[0-9a-f]+$/, "", bin)
+        name = bin " " ($2 == "unittests" ? $3 : $2)
+    }
+    /^ *Doc-tests / { name = "doc-tests " $2 }
+    /^test result:/ {
+        for (i = 1; i < NF; i++) {
+            if ($(i + 1) ~ /^passed/) passed = $i
+            if ($(i + 1) ~ /^ignored/) ignored = $i
+        }
+        printf "  %5d passed %3d ignored  %s\n", passed, ignored, name
+        total += passed; total_ignored += ignored; binaries++
+    }
+    END { printf "  %5d passed %3d ignored  total over %d binaries\n", total, total_ignored, binaries }
+' "$test_log"
 
 echo "== model check: fun3d-check self-tests =="
 # Fixed schedule budget so the exhaustive searches are deterministic in
